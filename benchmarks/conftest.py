@@ -12,7 +12,7 @@ Scale knobs (environment):
   200 here; m = 2 and m = 3 use a half and a quarter of it). The paper uses
   100 000.
 * ``REPRO_ADAPT_SPC`` -- samples per class for domain-adaptation retraining
-  in the case-study benches (default 500; the paper uses 2000).
+  in the adaptation benches (default: the paper's 2000).
 * ``REPRO_PROCS`` -- process-parallel sweep execution.
 """
 
@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.adaptive.modeler import AdaptiveModeler
+from repro.dnn.domain_adaptation import DEFAULT_SAMPLES_PER_CLASS
 from repro.dnn.modeler import DNNModeler
 from repro.dnn.pretrained import load_or_pretrain
 from repro.evaluation.sweep import SweepConfig, run_sweep
@@ -41,7 +42,8 @@ def eval_functions(m: int) -> int:
 
 
 def adaptation_samples_per_class() -> int:
-    return int(os.environ.get("REPRO_ADAPT_SPC", "500"))
+    """Retraining samples per class: ``REPRO_ADAPT_SPC``, else the paper's 2000."""
+    return int(os.environ.get("REPRO_ADAPT_SPC", str(DEFAULT_SAMPLES_PER_CLASS)))
 
 
 @pytest.fixture(scope="session")

@@ -6,16 +6,12 @@ relative prediction error at the hold-out point. This is the design choice
 the paper motivates with the Kripke walkthrough in Sec. VI-A.
 """
 
-import os
+from conftest import adaptation_samples_per_class
 
 from repro.casestudies import kripke
 from repro.casestudies.driver import run_case_study
 from repro.dnn.modeler import DNNModeler
 from repro.util.tables import render_table
-
-
-def adaptation_samples_per_class() -> int:
-    return int(os.environ.get("REPRO_ADAPT_SPC", "500"))
 
 
 def test_domain_adaptation_ablation(generic_network, record_table, benchmark):

@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from conftest import adaptation_samples_per_class
 
 from repro.dnn.adaptation_cache import AdaptationStore
 from repro.dnn.modeler import DNNModeler
@@ -37,10 +38,6 @@ from repro.parallel.pool import execution_profile
 from repro.util.artifacts import atomic_write_json
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def adaptation_samples_per_class() -> int:
-    return int(os.environ.get("REPRO_ADAPT_SPC", "500"))
 
 SEED = 20210517
 WORKERS = 4

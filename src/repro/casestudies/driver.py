@@ -8,7 +8,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.casestudies.base import SimulatedApplication
-from repro.modeling.registry import create_modelers
+from repro.modeling.registry import create_modelers, network_fingerprint
 from repro.noise.estimation import NoiseSummary, summarize_noise
 from repro.obs import recording, worker_recording
 from repro.obs.sink import TRACE_FILENAME, build_trace_records, write_trace
@@ -184,13 +184,15 @@ def run_case_study(
     journal = None
     if run_dir is not None:
         parts = (application.name, rng_fingerprint(rng), tuple(sorted(modelers)))
+        networks = network_fingerprint(modelers)
         journal = RunManifest.open(
             run_dir,
-            config_fingerprint(*parts),
+            config_fingerprint(*parts, *networks),
             resume=resume,
             meta={"kind": "casestudy", "application": application.name},
             shard=shard,
-            legacy_config_hash=legacy_config_fingerprint(*parts),
+            # Legacy hashes never saw a network: accept them for network-free runs only.
+            legacy_config_hash=None if networks else legacy_config_fingerprint(*parts),
         )
     elif resume:
         raise ValueError("resume=True requires run_dir")

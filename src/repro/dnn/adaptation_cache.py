@@ -34,6 +34,7 @@ from repro.dnn.domain_adaptation import (
 from repro.nn.network import Sequential
 from repro.obs import get_telemetry
 from repro.run.manifest import RunManifest
+from repro.synthesis import training
 from repro.testing import faults
 from repro.util.artifacts import sha256_file
 
@@ -90,8 +91,15 @@ class AdaptationStore:
         return digest
 
     def path(self, network: Sequential, key: AdaptationKey) -> Path:
-        """Checkpoint path of ``key``'s adapted weights for ``network``."""
-        config = f"e{self.epochs}-s{self.samples_per_class}-lr{self.learning_rate:g}-b{self.batch_size}"
+        """Checkpoint path of ``key``'s adapted weights for ``network``.
+
+        The name carries the training-set stream version, so weights
+        retrained on an older synthesis stream are never loaded.
+        """
+        config = (
+            f"e{self.epochs}-s{self.samples_per_class}-lr{self.learning_rate:g}"
+            f"-b{self.batch_size}-v{training.SYNTHESIS_STREAM_VERSION}"
+        )
         name = f"adapted-{self._network_digest(network)}-{key.fingerprint}-{config}.npz"
         return self.directory / name
 

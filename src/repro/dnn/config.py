@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.pmnf.searchspace import NUM_CLASSES
 from repro.preprocessing.encoding import INPUT_SIZE
+from repro.synthesis import training
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,11 @@ class PretrainConfig:
     seed: int = 20210517  # fixed so the cached generic network is reproducible
 
     def cache_key(self) -> str:
-        """Stable hash identifying this configuration on disk."""
+        """Stable hash identifying this configuration on disk.
+
+        Covers the training-set stream version too: a network pretrained on
+        an older synthesis stream is a different network.
+        """
         payload = json.dumps(
             {
                 "hidden": self.network.hidden_sizes,
@@ -82,6 +87,7 @@ class PretrainConfig:
                 "lr": self.learning_rate,
                 "reps": self.max_repetitions,
                 "seed": self.seed,
+                "stream": training.SYNTHESIS_STREAM_VERSION,
             },
             sort_keys=True,
         )

@@ -24,7 +24,7 @@ from repro.noise.injection import UniformLevelRangeNoise
 from repro.nn.network import Sequential
 from repro.nn.optimizers import AdaMax
 from repro.obs import get_telemetry
-from repro.preprocessing.encoding import MAX_POINTS
+from repro.preprocessing.encoding import thin_indices
 from repro.synthesis.training import TrainingSetConfig, generate_training_set
 from repro.util.seeding import as_generator, generator_from_digest
 
@@ -113,8 +113,10 @@ class AdaptationTask:
             lines = all_parameter_lines(kernel, n_params, parameter, min_points=2)
             if not lines:
                 raise ValueError(f"kernel {kernel.name!r} has no line for parameter {parameter}")
-            xs = tuple(float(v) for v in lines[0].xs[:MAX_POINTS])
-            value_sets.append(xs)
+            # Thin exactly as the encoder does, so retraining sees the
+            # layout the classifier is shown.
+            xs = lines[0].xs
+            value_sets.append(tuple(float(v) for v in xs[thin_indices(xs.size)]))
         levels = noise_levels_per_point(kernel)
         reps = int(round(float(np.mean([m.repetitions for m in kernel.measurements]))))
         return cls(
@@ -215,17 +217,18 @@ def adapt_network(
         with telemetry.tracer.span("adapt.training_set"):
             x, y = generate_training_set(task.training_config(samples_per_class), gen)
         adapted = network.copy()
-        adapted.fit(
-            x,
-            y,
-            epochs=epochs,
-            batch_size=batch_size,
-            optimizer=AdaMax(learning_rate),
-            rng=gen,
-            checkpoint_every=checkpoint_every if checkpoint_path is not None else None,
-            checkpoint_path=checkpoint_path,
-            resume_from=checkpoint_path,
-        )
+        with telemetry.tracer.span("adapt.train"):
+            adapted.fit(
+                x,
+                y,
+                epochs=epochs,
+                batch_size=batch_size,
+                optimizer=AdaMax(learning_rate),
+                rng=gen,
+                checkpoint_every=checkpoint_every if checkpoint_path is not None else None,
+                checkpoint_path=checkpoint_path,
+                resume_from=checkpoint_path,
+            )
     return adapted
 
 
@@ -309,13 +312,14 @@ def adapt_networks_fused(
                 )
                 generators.append(gen)
         adapted = [network.copy() for _ in unique]
-        fit_fused(
-            adapted,
-            [x for x, _ in datasets],
-            [y for _, y in datasets],
-            epochs=epochs,
-            batch_size=batch_size,
-            learning_rate=learning_rate,
-            rngs=generators,
-        )
+        with telemetry.tracer.span("adapt.train"):
+            fit_fused(
+                adapted,
+                [x for x, _ in datasets],
+                [y for _, y in datasets],
+                epochs=epochs,
+                batch_size=batch_size,
+                learning_rate=learning_rate,
+                rngs=generators,
+            )
     return dict(zip(unique, adapted))

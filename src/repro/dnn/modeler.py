@@ -30,6 +30,7 @@ from repro.nn.network import Sequential
 from repro.pmnf.searchspace import pair_for_class
 from repro.pmnf.terms import ExponentPair
 from repro.preprocessing.encoding import encode_parameter_line
+from repro.synthesis import training
 from repro.util.cache import LRUCache
 from repro.util.seeding import as_generator
 from repro.util.timing import Timer
@@ -127,6 +128,19 @@ class DNNModeler:
         if self._network is None:
             self._network = load_or_pretrain(self._pretrain_config, self._cache_dir)
         return self._network
+
+    def network_fingerprint(self) -> tuple:
+        """What of the network this modeler's results depend on.
+
+        The generic weights digest, plus the training-set stream version
+        when the modeler adapts (adapted weights are retrained on that
+        stream). Journaled runs hash this, so a run resumed under another
+        network or stream is refused instead of mixing outcomes.
+        """
+        digest = self.generic_network.weights_digest()
+        if self.use_domain_adaptation:
+            return (digest, training.SYNTHESIS_STREAM_VERSION)
+        return (digest,)
 
     def adaptation_key(self, task: AdaptationTask) -> AdaptationKey:
         """The task's cluster key at this modeler's noise resolution."""

@@ -26,7 +26,7 @@ import numpy as np
 from repro.evaluation.accuracy import ACCURACY_BUCKETS, bucket_fractions, lead_exponent_distance
 from repro.evaluation.predictive_power import prediction_smape, relative_prediction_errors
 from repro.experiment.experiment import Kernel
-from repro.modeling.registry import create_modelers
+from repro.modeling.registry import create_modelers, network_fingerprint
 from repro.noise.registry import noise_axis, noise_for_level
 from repro.obs import recording, worker_recording
 from repro.obs.sink import TRACE_FILENAME, build_trace_records, write_trace
@@ -554,8 +554,10 @@ def run_sweep(
     claims = None
     if run_dir is not None:
         parts = (config, rng_fingerprint(rng), tuple(sorted(modelers)))
-        fingerprint = config_fingerprint(*parts)
-        legacy = legacy_config_fingerprint(*parts)
+        networks = network_fingerprint(modelers)
+        fingerprint = config_fingerprint(*parts, *networks)
+        # Legacy hashes never saw a network: accept them for network-free runs only.
+        legacy = None if networks else legacy_config_fingerprint(*parts)
         meta = {"kind": "sweep", "n_params": config.n_params}
         if steal:
             journal = RunManifest.open_shared(

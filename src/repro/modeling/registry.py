@@ -214,6 +214,24 @@ def create_modelers(
     return resolved
 
 
+def network_fingerprint(modelers: "Mapping[str, object]") -> "tuple[tuple, ...]":
+    """The networks behind ``modelers``, as extra run-fingerprint parts.
+
+    One ``(label, *network_fingerprint())`` entry per DNN-backed modeler
+    (bare, or wrapped as ``.dnn`` like the adaptive modeler), in label
+    order: the generic network's weights digest, plus the training-set
+    stream version when the modeler adapts. Empty when no modeler is
+    DNN-backed, so regression-only fingerprints stay what they were.
+    """
+    entries = []
+    for label in sorted(modelers):
+        dnn = getattr(modelers[label], "dnn", modelers[label])
+        fingerprint = getattr(dnn, "network_fingerprint", None)
+        if fingerprint is not None:
+            entries.append((label, *fingerprint()))
+    return tuple(entries)
+
+
 # ------------------------------------------------------------------ builtins
 def _ensure_builtins() -> None:
     """Register the built-in modelers (lazily, to avoid import cycles)."""

@@ -26,12 +26,33 @@ class NoiseModel(abc.ABC):
     def nominal_level(self) -> float:
         """Representative noise level, used for reporting and calibration."""
 
+    def apply_rows(
+        self, values: np.ndarray, rng: "np.random.Generator | int | None" = None
+    ) -> np.ndarray:
+        """Noisy copy of ``values``, one independent :meth:`apply` per leading row.
+
+        ``values[r]`` is perturbed exactly as ``apply(values[r])`` would be
+        (e.g. one row = the repetitions of one synthetic line), so per-call
+        state -- a drift slope, a systematic factor, a drawn level -- stays
+        per row. This default loops; models with an exact vectorized
+        equivalent override it.
+        """
+        gen = as_generator(rng)
+        values = np.asarray(values, dtype=float)
+        out = np.empty_like(values)
+        for row in range(values.shape[0]):
+            out[row] = self.apply(values[row], gen)
+        return out
+
 
 class NoNoise(NoiseModel):
     """Identity noise model (calm measurements)."""
 
     def apply(self, values: np.ndarray, rng=None) -> np.ndarray:
         return np.array(values, dtype=float, copy=True)
+
+    def apply_rows(self, values: np.ndarray, rng=None) -> np.ndarray:
+        return self.apply(values)
 
     def nominal_level(self) -> float:
         return 0.0
@@ -51,6 +72,10 @@ class UniformNoise(NoiseModel):
         values = np.asarray(values, dtype=float)
         half = self.level / 2.0
         return values * (1.0 + gen.uniform(-half, half, size=values.shape))
+
+    def apply_rows(self, values: np.ndarray, rng=None) -> np.ndarray:
+        # Elementwise i.i.d. draws: one call over all rows is the row loop.
+        return self.apply(values, rng)
 
     def nominal_level(self) -> float:
         return self.level
@@ -102,6 +127,14 @@ class UniformLevelRangeNoise(NoiseModel):
         gen = as_generator(rng)
         level = gen.uniform(self.lo, self.hi)
         return UniformNoise(level).apply(values, gen)
+
+    def apply_rows(self, values: np.ndarray, rng=None) -> np.ndarray:
+        gen = as_generator(rng)
+        values = np.asarray(values, dtype=float)
+        # One level per row, then U(-level/2, +level/2) per element.
+        half = gen.uniform(self.lo, self.hi, size=values.shape[0]) / 2.0
+        half = half.reshape((-1,) + (1,) * (values.ndim - 1))
+        return values * (1.0 + gen.uniform(-half, half, size=values.shape))
 
     def nominal_level(self) -> float:
         return (self.lo + self.hi) / 2.0

@@ -18,9 +18,11 @@ from repro.preprocessing.encoding import (
     MAX_POINTS,
     INPUT_SIZE,
     encode_line,
+    encode_lines,
     encode_parameter_line,
     normalize_positions,
     assign_slots,
+    thin_indices,
 )
 
 __all__ = [
@@ -29,7 +31,9 @@ __all__ = [
     "MAX_POINTS",
     "INPUT_SIZE",
     "encode_line",
+    "encode_lines",
     "encode_parameter_line",
     "normalize_positions",
     "assign_slots",
+    "thin_indices",
 ]

@@ -65,12 +65,38 @@ def assign_slots(positions: np.ndarray) -> np.ndarray:
     return slot_of
 
 
-def _thin_to_max(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce oversized lines to MAX_POINTS, keeping endpoints, evenly spaced."""
-    if xs.size <= MAX_POINTS:
-        return xs, values
-    keep = np.unique(np.round(np.linspace(0, xs.size - 1, MAX_POINTS)).astype(int))
-    return xs[keep], values[keep]
+def _assign_slots_rows(positions: np.ndarray) -> np.ndarray:
+    """:func:`assign_slots` for every row of a ``(rows, points)`` array.
+
+    The same greedy matching, stepping through each row's own distance
+    order in lockstep across rows; the per-row argsort is the 1-d one, so
+    ties break exactly as in :func:`assign_slots`.
+    """
+    rows, points = positions.shape
+    dist = np.abs(positions[:, :, None] - SAMPLE_POSITIONS[None, None, :])
+    meas, slot = np.divmod(np.argsort(dist.reshape(rows, -1), axis=1), INPUT_SIZE)
+    slot_of = np.full((rows, points), -1, dtype=int)
+    slot_used = np.zeros((rows, INPUT_SIZE), dtype=bool)
+    index = np.arange(rows)
+    for step in range(points * INPUT_SIZE):
+        m, s = meas[:, step], slot[:, step]
+        free = (slot_of[index, m] == -1) & ~slot_used[index, s]
+        slot_of[index[free], m[free]] = s[free]
+        slot_used[index[free], s[free]] = True
+    return slot_of
+
+
+def thin_indices(size: int) -> np.ndarray:
+    """Indices that thin a sorted line of ``size`` points to at most MAX_POINTS.
+
+    Oversized lines keep both endpoints and evenly spaced points between
+    them; lines that fit are kept whole. Both the encoder and the
+    domain-adaptation task use this, so retraining sees the layout the
+    classifier sees.
+    """
+    if size <= MAX_POINTS:
+        return np.arange(size)
+    return np.unique(np.round(np.linspace(0, size - 1, MAX_POINTS)).astype(int))
 
 
 def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
@@ -93,7 +119,9 @@ def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.n
     xs, values = xs[order], values[order]
     if np.any(np.diff(xs) == 0):
         raise ValueError("duplicate parameter values in measurement line")
-    xs, values = _thin_to_max(xs, values)
+    if xs.size > MAX_POINTS:
+        keep = thin_indices(xs.size)
+        xs, values = xs[keep], values[keep]
 
     enriched = values / xs if enrich else values.copy()
     scale = np.max(np.abs(enriched))
@@ -104,6 +132,46 @@ def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.n
     vector = np.zeros(INPUT_SIZE, dtype=float)
     vector[slots] = enriched
     return vector
+
+
+def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
+    """Encode many equal-length lines at once: row ``r`` is ``encode_line(xs[r], values[r])``.
+
+    ``xs`` and ``values`` are ``(rows, points)`` arrays. Slots are assigned
+    once per distinct normalized layout, not once per row, and every
+    arithmetic step is the row-wise one, so the result is bit-identical to
+    encoding row by row.
+    """
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if xs.shape != values.shape or xs.ndim != 2:
+        raise ValueError("xs and values must be 2-d arrays of equal shape")
+    rows, points = xs.shape
+    if points < MIN_POINTS:
+        raise ValueError(f"at least {MIN_POINTS} measurement points are required, got {points}")
+    if np.any(xs <= 0):
+        raise ValueError("parameter values must be positive")
+    order = np.argsort(xs, axis=1)
+    xs = np.take_along_axis(xs, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    if np.any(np.diff(xs, axis=1) == 0):
+        raise ValueError("duplicate parameter values in measurement line")
+    keep = thin_indices(points)
+    xs, values = xs[:, keep], values[:, keep]
+
+    enriched = values / xs if enrich else values.copy()
+    scale = np.max(np.abs(enriched), axis=1, keepdims=True)
+    enriched = np.divide(enriched, scale, out=enriched, where=scale > 0)
+
+    positions = np.ascontiguousarray(xs / xs[:, -1:])
+    # Deduplicate rows by their bytes (a void view sorts far faster than
+    # ``np.unique(axis=0)``); positions are positive, so bytes equal values.
+    row_bytes = positions.view(np.dtype((np.void, positions.itemsize * positions.shape[1])))
+    _, first, layout_of = np.unique(row_bytes.ravel(), return_index=True, return_inverse=True)
+    slots = _assign_slots_rows(positions[first])[layout_of]
+    vectors = np.zeros((rows, INPUT_SIZE), dtype=float)
+    np.put_along_axis(vectors, slots, enriched, axis=1)
+    return vectors
 
 
 def encode_parameter_line(

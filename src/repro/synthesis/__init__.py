@@ -10,6 +10,7 @@ evaluation points ``P+`` used to measure predictive power (Fig. 2).
 from repro.synthesis.sequences import (
     SequenceKind,
     random_sequence,
+    random_sequences,
     continue_sequence,
 )
 from repro.synthesis.functions import (
@@ -30,6 +31,7 @@ from repro.synthesis.evaluation_points import evaluation_points
 __all__ = [
     "SequenceKind",
     "random_sequence",
+    "random_sequences",
     "continue_sequence",
     "random_exponent_pair",
     "random_single_parameter_function",

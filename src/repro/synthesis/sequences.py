@@ -41,30 +41,73 @@ def random_sequence(
     gen = as_generator(rng)
     if kind is None:
         kind = gen.choice(list(SequenceKind))
+    return _sequence_block(kind, length, 1, gen)[0]
+
+
+def random_sequences(
+    length: int,
+    count: int,
+    kinds: "tuple[SequenceKind, ...] | None" = None,
+    rng: "np.random.Generator | int | None" = None,
+) -> np.ndarray:
+    """``count`` independent sequences of ``length`` values, as a ``(count, length)`` array.
+
+    Each row draws its kind uniformly from ``kinds`` (default: all kinds)
+    and then its start/stride/range exactly as :func:`random_sequence` does
+    for that kind, but the draws are vectorized per kind -- so the stream
+    differs from ``count`` calls of :func:`random_sequence`, the
+    distribution does not.
+    """
+    if length < 2:
+        raise ValueError("sequences need at least two values")
+    gen = as_generator(rng)
+    kinds = tuple(SequenceKind) if kinds is None else tuple(kinds)
+    choice = gen.integers(len(kinds), size=count)
+    out = np.empty((count, length))
+    for index, kind in enumerate(kinds):
+        rows = np.flatnonzero(choice == index)
+        if rows.size:
+            out[rows] = _sequence_block(kind, length, rows.size, gen)
+    return out
+
+
+def _sequence_block(
+    kind: SequenceKind, length: int, count: int, gen: np.random.Generator
+) -> np.ndarray:
+    """``(count, length)`` sequences of one kind; one draw vector per knob."""
     k = np.arange(length, dtype=float)
 
+    def column(draws) -> np.ndarray:
+        return np.asarray(draws, dtype=float)[:, None]
+
     if kind is SequenceKind.LINEAR:
-        start = float(gen.integers(20, 200))
-        stride = float(gen.integers(10, 100))
+        start = column(gen.integers(20, 200, size=count))
+        stride = column(gen.integers(10, 100, size=count))
         return start + stride * k
     if kind is SequenceKind.SMALL_LINEAR:
-        start = float(gen.integers(2, 20))
-        stride = float(gen.integers(1, 10))
+        start = column(gen.integers(2, 20, size=count))
+        stride = column(gen.integers(1, 10, size=count))
         return start + stride * k
     if kind is SequenceKind.SMALL_EXPONENTIAL:
-        start = float(2 ** gen.integers(1, 5))  # 2..16
+        start = column(2 ** gen.integers(1, 5, size=count))  # 2..16
         return start * 2.0**k
     if kind is SequenceKind.EXPONENTIAL:
-        start = float(2 ** gen.integers(1, 4))  # 2..8
-        factor = float(2 ** gen.integers(2, 4))  # 4 or 8
+        start = column(2 ** gen.integers(1, 4, size=count))  # 2..8
+        factor = column(2 ** gen.integers(2, 4, size=count))  # 4 or 8
         return start * factor**k
     if kind is SequenceKind.UNIFORM:
-        lo = float(gen.integers(2, 50))
-        hi = lo * float(gen.uniform(10, 100))
-        while True:
-            values = np.sort(np.round(gen.uniform(lo, hi, size=length)))
-            if np.all(np.diff(values) > 0):
-                return values
+        lo = column(gen.integers(2, 50, size=count))
+        hi = lo * column(gen.uniform(10, 100, size=count))
+        out = np.empty((count, length))
+        # Redraw only the rows whose rounded draws collide.
+        todo = np.arange(count)
+        while todo.size:
+            values = np.sort(
+                np.round(gen.uniform(lo[todo], hi[todo], size=(todo.size, length))), axis=1
+            )
+            out[todo] = values
+            todo = todo[~np.all(np.diff(values, axis=1) > 0, axis=1)]
+        return out
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 

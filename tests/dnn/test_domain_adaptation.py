@@ -41,6 +41,33 @@ class TestAdaptationTask:
         b = AdaptationTask.from_kernel(experiment().only_kernel(), 2)
         assert a == b and len({a, b}) == 1
 
+    def test_long_line_thinned_like_the_encoder(self):
+        """A 16-point line 2..65536 is shown to the classifier thinned to 11
+        points with both endpoints; retraining must use that same layout,
+        not the first 11 points (2..2048)."""
+        from repro.experiment.lines import parameter_lines
+        from repro.preprocessing.encoding import (
+            assign_slots,
+            encode_parameter_line,
+            normalize_positions,
+        )
+
+        xs = 2.0 ** np.arange(1, 17)
+        f = PerformanceFunction.single_term(2.0, 1.0, [ExponentPair(1, 0)])
+        kernel = synthesize_experiment(f, [xs], UniformNoise(0.1), 3, rng=0).only_kernel()
+        (layout,) = AdaptationTask.from_kernel(kernel, 1).parameter_value_sets
+        assert len(layout) == 11
+        assert layout[0] == 2.0 and layout[-1] == 65536.0
+        # Same slots as the classifier's encoding of the measured line.
+        encoded = encode_parameter_line(parameter_lines(kernel, 1)[0])
+        slots = assign_slots(normalize_positions(np.asarray(layout)))
+        assert np.array_equal(np.flatnonzero(encoded), np.sort(slots))
+
+    def test_short_lines_keep_their_key(self):
+        """Lines of at most 11 points are not touched by thinning."""
+        task = AdaptationTask.from_kernel(experiment().only_kernel(), 2)
+        assert task.parameter_value_sets == (tuple(X1), tuple(X2))
+
     def test_training_config_guards_degenerate_range(self):
         task = AdaptationTask(((4.0, 8.0, 16.0, 32.0, 64.0),), (0.0, 0.0), 1)
         cfg = task.training_config(samples_per_class=10)
@@ -68,6 +95,41 @@ class TestAdaptNetwork:
         b = adapt_network(tiny_network, task, rng=9, samples_per_class=5)
         x = np.random.default_rng(0).random((4, 11)).astype(np.float32)
         np.testing.assert_array_equal(a.predict_logits(x), b.predict_logits(x))
+
+    def test_spans_split_synthesis_from_training(self, tiny_network):
+        """``adapt.training_set`` and ``adapt.train`` are sibling children of
+        the adaptation span, and tracing does not change the weights."""
+        from repro.obs import recording
+
+        task = AdaptationTask.from_kernel(experiment().only_kernel(), 2)
+        with recording(force=True) as tel:
+            traced = adapt_network(tiny_network, task, rng=4, samples_per_class=5)
+            spans = {record["name"]: record for record in tel.tracer.export()}
+        root = spans["dnn.adapt_network"]
+        assert spans["adapt.training_set"]["parent_id"] == root["span_id"]
+        assert spans["adapt.train"]["parent_id"] == root["span_id"]
+        untraced = adapt_network(tiny_network, task, rng=4, samples_per_class=5)
+        for a, b in zip(traced.get_weights(), untraced.get_weights()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fused_spans_split_synthesis_from_training(self, tiny_network):
+        from repro.dnn.domain_adaptation import adapt_networks_fused
+        from repro.obs import recording
+
+        keys = [
+            AdaptationTask(((4.0, 8.0, 16.0, 32.0, 64.0),), (0.1, hi), 3).key()
+            for hi in (0.2, 0.5)
+        ]
+        with recording(force=True) as tel:
+            traced = adapt_networks_fused(tiny_network, keys, samples_per_class=5)
+            spans = {record["name"]: record for record in tel.tracer.export()}
+        root = spans["dnn.adapt_fused"]
+        assert spans["adapt.training_set"]["parent_id"] == root["span_id"]
+        assert spans["adapt.train"]["parent_id"] == root["span_id"]
+        untraced = adapt_networks_fused(tiny_network, keys, samples_per_class=5)
+        for key in keys:
+            for a, b in zip(traced[key].get_weights(), untraced[key].get_weights()):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.slow
     def test_adaptation_improves_on_task_distribution(self, tiny_network):

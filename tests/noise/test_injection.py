@@ -239,3 +239,59 @@ class TestDriftNoise:
     def test_invalid_drift_rejected(self):
         with pytest.raises(ValueError):
             DriftNoise(level=0.1, drift=-0.2)
+
+
+class TestApplyRows:
+    """``apply_rows``: one independent ``apply`` per leading row."""
+
+    BLOCK = np.broadcast_to(np.arange(1.0, 6.0)[:, None], (400, 5, 3)).copy()
+
+    def test_uniform_override_is_the_row_loop(self):
+        """Elementwise draws: the vectorized call consumes the stream exactly
+        as the per-row loop does."""
+        model = UniformNoise(0.4)
+        gen_a, gen_b = np.random.default_rng(1), np.random.default_rng(1)
+        looped = np.stack([model.apply(row, gen_b) for row in self.BLOCK])
+        np.testing.assert_array_equal(model.apply_rows(self.BLOCK, gen_a), looped)
+
+    def test_no_noise_copies(self):
+        out = NoNoise().apply_rows(self.BLOCK, 0)
+        np.testing.assert_array_equal(out, self.BLOCK)
+        assert out is not self.BLOCK
+
+    def test_level_range_draws_one_level_per_row(self):
+        model = UniformLevelRangeNoise(0.1, 0.9)
+        rel = model.apply_rows(self.BLOCK, 2) / self.BLOCK - 1.0
+        half_width = np.abs(rel).reshape(len(self.BLOCK), -1).max(axis=1)
+        # Every row stays inside its own level, and levels vary across rows.
+        assert np.all(half_width <= 0.45 + 1e-12)
+        assert half_width.min() < 0.15 and half_width.max() > 0.35
+
+    def test_level_range_matches_per_call_distribution(self):
+        model = UniformLevelRangeNoise(0.0, 1.0)
+        block = np.ones((4000, 5, 1))
+        gen = np.random.default_rng(3)
+        looped = np.stack([model.apply(row, gen) for row in block])
+        batched = model.apply_rows(block, 4)
+        for stat in (np.mean, np.std):
+            assert stat(batched) == pytest.approx(stat(looped), abs=0.01)
+        # Row-wise spread: the level is shared within a row in both forms.
+        assert np.std(np.ptp(batched, axis=1)) == pytest.approx(
+            np.std(np.ptp(looped, axis=1)), abs=0.02
+        )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DriftNoise(0.1, drift=0.5),
+            GammaLevelNoise(2.0, 0.1),
+            LognormalSpikeNoise(0.1),
+            TaintedRepetitionNoise(0.1, p=0.3),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_default_is_per_call(self, model):
+        """Models without an override get exactly one ``apply`` per row."""
+        gen_a, gen_b = np.random.default_rng(5), np.random.default_rng(5)
+        looped = np.stack([model.apply(row, gen_b) for row in self.BLOCK])
+        np.testing.assert_array_equal(model.apply_rows(self.BLOCK, gen_a), looped)

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.synthesis.sequences import SequenceKind, continue_sequence, random_sequence
+from repro.synthesis.sequences import (
+    SequenceKind,
+    continue_sequence,
+    random_sequence,
+    random_sequences,
+)
 
 
 class TestRandomSequence:
@@ -76,3 +81,67 @@ class TestContinueSequence:
         assert out.size == count
         assert out[0] > xs[-1]
         assert np.all(np.diff(np.concatenate([[xs[-1]], out])) > 0)
+
+
+class TestRandomSequences:
+    def test_shape_and_validity(self):
+        xs = random_sequences(7, 500, rng=0)
+        assert xs.shape == (500, 7)
+        assert np.all(np.diff(xs, axis=1) > 0)
+        assert np.all(xs >= 2)
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_single_kind_rows_have_that_shape(self, kind):
+        """Each row of a one-kind block is a sequence that kind can produce."""
+        xs = random_sequences(6, 200, kinds=(kind,), rng=1)
+        assert np.all(np.diff(xs, axis=1) > 0)
+        ratios = xs[:, 1:] / xs[:, :-1]
+        strides = np.diff(xs, axis=1)
+        if kind is SequenceKind.SMALL_EXPONENTIAL:
+            np.testing.assert_allclose(ratios, 2.0)
+            assert set(np.unique(xs[:, 0])) <= {2.0, 4.0, 8.0, 16.0}
+        elif kind is SequenceKind.EXPONENTIAL:
+            assert set(np.unique(ratios)) == {4.0, 8.0}
+        elif kind is SequenceKind.LINEAR:
+            assert np.all(strides == strides[:, :1])
+            assert xs[:, 0].min() >= 20 and xs[:, 0].max() < 200
+        elif kind is SequenceKind.SMALL_LINEAR:
+            assert np.all(strides == strides[:, :1])
+            assert xs[:, 0].max() < 20
+        else:
+            assert np.all(xs == np.round(xs))
+
+    def test_kinds_drawn_uniformly(self):
+        kinds = (SequenceKind.SMALL_EXPONENTIAL, SequenceKind.LINEAR)
+        xs = random_sequences(5, 5000, kinds=kinds, rng=2)
+        doubling = np.all(xs[:, 1:] == 2 * xs[:, :-1], axis=1)
+        assert 0.47 < doubling.mean() < 0.53
+
+    def test_deterministic(self):
+        np.testing.assert_array_equal(
+            random_sequences(5, 50, rng=3), random_sequences(5, 50, rng=3)
+        )
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError):
+            random_sequences(1, 5, rng=0)
+
+    def test_single_sequence_stream_pinned(self):
+        """``random_sequence`` keeps its stream (synthetic sweeps draw their
+        layouts from it); these values predate the block generator."""
+        pinned = {
+            SequenceKind.LINEAR: [95, 183, 271, 359, 447, 535],
+            SequenceKind.SMALL_LINEAR: [9, 17, 25, 33, 41, 49],
+            SequenceKind.SMALL_EXPONENTIAL: [4, 8, 16, 32, 64, 128],
+            SequenceKind.EXPONENTIAL: [4, 32, 256, 2048, 16384, 131072],
+            SequenceKind.UNIFORM: [484, 570, 618, 681, 723, 725],
+        }
+        for kind, values in pinned.items():
+            np.testing.assert_array_equal(random_sequence(6, kind, 9), values)
+        gen = np.random.default_rng(123)
+        drawn = [random_sequence(5, None, gen).tolist() for _ in range(3)]
+        assert drawn == [
+            [142, 205, 268, 331, 394],
+            [183, 212, 241, 270, 299],
+            [5, 9, 13, 17, 21],
+        ]
