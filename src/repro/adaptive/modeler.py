@@ -49,6 +49,10 @@ class AdaptiveModeler:
         self.dnn = dnn or DNNModeler(engine=engine)
         self.thresholds = thresholds
 
+    def network_fingerprint(self) -> tuple:
+        """The DNN sub-modeler's network fingerprint."""
+        return self.dnn.network_fingerprint()
+
     def route(self, kernel: Kernel, n_params: int) -> tuple[float, NoiseClass]:
         """Estimate the kernel's noise level and classify it."""
         level = estimate_noise_level(kernel)

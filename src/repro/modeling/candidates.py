@@ -118,6 +118,10 @@ class DNNTopKGenerator:
     def __init__(self, dnn):
         self.dnn = dnn
 
+    def network_fingerprint(self) -> tuple:
+        """The wrapped DNN modeler's network fingerprint."""
+        return self.dnn.network_fingerprint()
+
     def generate(
         self,
         kernel: Kernel,
@@ -176,6 +180,10 @@ class AdaptiveGenerator:
         self.full = full
         self.dnn = dnn
         self.thresholds = thresholds
+
+    def network_fingerprint(self) -> tuple:
+        """The DNN generator's network fingerprint."""
+        return self.dnn.network_fingerprint()
 
     def generate(
         self,

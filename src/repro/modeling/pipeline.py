@@ -218,6 +218,11 @@ class PipelineModeler:
             generator, aggregation=aggregation, engine=engine, prefilter=prefilter
         )
 
+    def network_fingerprint(self) -> tuple:
+        """The generator's network fingerprint; empty for a network-free one."""
+        fingerprint = getattr(self.pipeline.generator, "network_fingerprint", None)
+        return fingerprint() if fingerprint is not None else ()
+
     def model_kernel(
         self, kernel: Kernel, n_params: "int | None" = None, rng=None, network=None
     ) -> ModelResult:

@@ -217,18 +217,20 @@ def create_modelers(
 def network_fingerprint(modelers: "Mapping[str, object]") -> "tuple[tuple, ...]":
     """The networks behind ``modelers``, as extra run-fingerprint parts.
 
-    One ``(label, *network_fingerprint())`` entry per DNN-backed modeler
-    (bare, or wrapped as ``.dnn`` like the adaptive modeler), in label
-    order: the generic network's weights digest, plus the training-set
-    stream version when the modeler adapts. Empty when no modeler is
-    DNN-backed, so regression-only fingerprints stay what they were.
+    A modeler says what network it uses through ``network_fingerprint()``:
+    the generic network's weights digest, plus the training-set stream
+    version when it adapts; modelers that wrap a DNN (adaptive, fused)
+    delegate to it, and a network-free one returns ``()`` or has no such
+    method. One ``(label, *parts)`` entry per non-empty fingerprint, in
+    label order. Empty when no modeler is DNN-backed, so regression-only
+    fingerprints stay what they were.
     """
     entries = []
     for label in sorted(modelers):
-        dnn = getattr(modelers[label], "dnn", modelers[label])
-        fingerprint = getattr(dnn, "network_fingerprint", None)
-        if fingerprint is not None:
-            entries.append((label, *fingerprint()))
+        fingerprint = getattr(modelers[label], "network_fingerprint", None)
+        parts = fingerprint() if fingerprint is not None else ()
+        if parts:
+            entries.append((label, *parts))
     return tuple(entries)
 
 

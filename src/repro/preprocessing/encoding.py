@@ -134,7 +134,7 @@ def encode_line(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.n
     return vector
 
 
-def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.ndarray:
+def encode_lines(xs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Encode many equal-length lines at once: row ``r`` is ``encode_line(xs[r], values[r])``.
 
     ``xs`` and ``values`` are ``(rows, points)`` arrays. Slots are assigned
@@ -159,7 +159,7 @@ def encode_lines(xs: np.ndarray, values: np.ndarray, enrich: bool = True) -> np.
     keep = thin_indices(points)
     xs, values = xs[:, keep], values[:, keep]
 
-    enriched = values / xs if enrich else values.copy()
+    enriched = values / xs
     scale = np.max(np.abs(enriched), axis=1, keepdims=True)
     enriched = np.divide(enriched, scale, out=enriched, where=scale > 0)
 

@@ -15,15 +15,21 @@ from repro.util.seeding import as_generator
 COEFFICIENT_RANGE: tuple[float, float] = (0.001, 1000.0)
 
 
+def check_coefficient_range(coefficient_range: tuple[float, float]) -> None:
+    """Raise :class:`ValueError` unless ``0 < lo <= hi``."""
+    lo, hi = coefficient_range
+    if not (0 < lo <= hi):
+        raise ValueError(f"invalid coefficient range {coefficient_range!r}")
+
+
 def random_coefficient(
     rng: "np.random.Generator | int | None" = None,
     coefficient_range: tuple[float, float] = COEFFICIENT_RANGE,
 ) -> float:
     """Draw one coefficient ``c_k ~ U[0.001, 1000]``."""
     gen = as_generator(rng)
+    check_coefficient_range(coefficient_range)
     lo, hi = coefficient_range
-    if not (0 < lo <= hi):
-        raise ValueError(f"invalid coefficient range {coefficient_range!r}")
     return float(gen.uniform(lo, hi))
 
 

@@ -19,7 +19,7 @@ from repro.noise.injection import NoiseModel, UniformLevelRangeNoise
 from repro.pmnf.searchspace import NUM_CLASSES, pair_for_class
 from repro.pmnf.terms import CompoundTerm
 from repro.preprocessing.encoding import INPUT_SIZE, MAX_POINTS, MIN_POINTS, encode_lines
-from repro.synthesis.functions import COEFFICIENT_RANGE
+from repro.synthesis.functions import COEFFICIENT_RANGE, check_coefficient_range
 from repro.synthesis.sequences import SequenceKind, random_sequences
 from repro.util.seeding import as_generator
 
@@ -63,9 +63,7 @@ class TrainingSetConfig:
             )
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        lo, hi = self.coefficient_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"invalid coefficient range {self.coefficient_range!r}")
+        check_coefficient_range(self.coefficient_range)
 
 
 def _draw_layouts(

@@ -12,7 +12,7 @@ from repro.casestudies import relearn
 from repro.casestudies.driver import run_case_study
 from repro.dnn.modeler import DNNModeler
 from repro.evaluation.sweep import SweepConfig, run_sweep
-from repro.modeling.registry import network_fingerprint
+from repro.modeling.registry import create_modeler, network_fingerprint
 from repro.regression.modeler import RegressionModeler
 from repro.run.manifest import (
     RunManifest,
@@ -30,6 +30,13 @@ def dnn(network, adapt=False):
     return DNNModeler(
         network=network, use_domain_adaptation=adapt, adaptation_samples_per_class=5
     )
+
+
+def wrapped(spec, network):
+    """A registry modeler that wraps a DNN: ``adaptive`` adapts, ``fused`` does not."""
+    if spec == "adaptive":
+        return create_modeler(spec, network=network, adaptation_samples_per_class=5)
+    return create_modeler(spec, network=network)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +61,16 @@ class TestNetworkFingerprint:
         )
         assert parts == (("a", digest), ("b", digest, training.SYNTHESIS_STREAM_VERSION))
 
+    def test_sees_through_wrapping_modelers(self, tiny_network):
+        digest = tiny_network.weights_digest()
+        parts = network_fingerprint(
+            {"adaptive": wrapped("adaptive", tiny_network), "fused": wrapped("fused", tiny_network)}
+        )
+        assert parts == (
+            ("adaptive", digest, training.SYNTHESIS_STREAM_VERSION),
+            ("fused", digest),
+        )
+
 
 class TestSweepResume:
     def test_resume_across_networks_refused(self, tmp_path, tiny_network, other_network):
@@ -70,6 +87,33 @@ class TestSweepResume:
             CONFIG, {"dnn": dnn(tiny_network)}, rng=SEED, run_dir=tmp_path / "run", resume=True
         )
         assert resumed.cells
+
+    @pytest.mark.parametrize("spec", ["adaptive", "fused"])
+    def test_wrapped_resume_across_networks_refused(
+        self, tmp_path, tiny_network, other_network, spec
+    ):
+        run_sweep(CONFIG, {spec: wrapped(spec, tiny_network)}, rng=SEED, run_dir=tmp_path / "run")
+        with pytest.raises(RunManifestError):
+            run_sweep(
+                CONFIG,
+                {spec: wrapped(spec, other_network)},
+                rng=SEED,
+                run_dir=tmp_path / "run",
+                resume=True,
+            )
+
+    @pytest.mark.parametrize("spec", ["adaptive", "fused"])
+    def test_wrapped_legacy_hash_refused(self, tmp_path, tiny_network, spec):
+        parts = (CONFIG, f"seed:{SEED}", (spec,))
+        RunManifest.create(tmp_path / "run", legacy_config_fingerprint(*parts))
+        with pytest.raises(RunManifestError):
+            run_sweep(
+                CONFIG,
+                {spec: wrapped(spec, tiny_network)},
+                rng=SEED,
+                run_dir=tmp_path / "run",
+                resume=True,
+            )
 
     def test_resume_across_stream_versions_refused(self, tmp_path, tiny_network, monkeypatch):
         modelers = {"dnn": dnn(tiny_network, adapt=True)}
@@ -122,6 +166,22 @@ class TestCaseStudyResume:
             run_case_study(
                 relearn(),
                 {"dnn": dnn(other_network)},
+                rng=1,
+                run_dir=tmp_path / "run",
+                resume=True,
+            )
+
+    @pytest.mark.parametrize("spec", ["adaptive", "fused"])
+    def test_wrapped_resume_across_networks_refused(
+        self, tmp_path, tiny_network, other_network, spec
+    ):
+        run_case_study(
+            relearn(), {spec: wrapped(spec, tiny_network)}, rng=1, run_dir=tmp_path / "run"
+        )
+        with pytest.raises(RunManifestError):
+            run_case_study(
+                relearn(),
+                {spec: wrapped(spec, other_network)},
                 rng=1,
                 run_dir=tmp_path / "run",
                 resume=True,

@@ -7,8 +7,8 @@ from repro.preprocessing.encoding import encode_line, encode_lines
 from repro.synthesis.sequences import SequenceKind, random_sequence, random_sequences
 
 
-def row_by_row(xs, values, enrich=True):
-    return np.stack([encode_line(x, v, enrich=enrich) for x, v in zip(xs, values)])
+def row_by_row(xs, values):
+    return np.stack([encode_line(x, v) for x, v in zip(xs, values)])
 
 
 def assert_bit_identical(a, b):
@@ -23,9 +23,6 @@ class TestEncodeLinesMatchesEncodeLine:
         xs = random_sequences(points, 400, rng=gen)
         values = gen.uniform(-5.0, 50.0, size=xs.shape)
         assert_bit_identical(encode_lines(xs, values), row_by_row(xs, values))
-        assert_bit_identical(
-            encode_lines(xs, values, enrich=False), row_by_row(xs, values, enrich=False)
-        )
 
     def test_one_shared_layout(self, points):
         gen = np.random.default_rng(100 + points)
