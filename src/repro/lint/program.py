@@ -87,7 +87,6 @@ MUTATOR_METHODS = {
 #: worker processes (the picklability boundary CONC002 guards).
 POOL_DISPATCHERS = {
     "repro.parallel.engine.run_tasks",
-    "repro.parallel.pool.parallel_map",
 }
 
 #: Attribute types whose ``.run(fn, ...)`` is a pool dispatch.

@@ -132,9 +132,8 @@ class SharedStateLockRule(ProgramRule):
 class PicklableDispatchRule(ProgramRule):
     """CONC002: callables shipped to the process pool must be module-level.
 
-    ``run_tasks(fn, ...)`` / ``parallel_map(fn, ...)`` /
-    ``EngineSession.run(fn, ...)`` pickle ``fn`` into the workers under the
-    spawn start method. Lambdas and nested functions cannot be pickled at
+    ``run_tasks(fn, ...)`` / ``EngineSession.run(fn, ...)`` pickle ``fn``
+    into the workers under the spawn start method. Lambdas and nested functions cannot be pickled at
     all; bound methods drag the whole instance (locks, sockets, open
     journals) through pickle. Unresolvable arguments -- locals, parameters
     forwarded through wrappers -- are skipped, not guessed at.

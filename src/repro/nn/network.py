@@ -17,6 +17,7 @@ from repro.nn.losses import Loss, SoftmaxCrossEntropy, softmax
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import AdaMax, Optimizer
 from repro.obs import get_telemetry
+from repro.parallel.blas import inference_threads
 from repro.util.artifacts import atomic_write_bytes
 from repro.util.seeding import as_generator
 
@@ -253,13 +254,15 @@ class Sequential:
 
     # ------------------------------------------------------------- inference
     def predict_logits(self, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
+        """Output-layer logits; in engine workers on their share of BLAS threads."""
         x = np.asarray(x, dtype=np.float32)
         if x.ndim == 1:
             x = x[None, :]
-        outputs = [
-            self.forward(x[start : start + batch_size])
-            for start in range(0, x.shape[0], batch_size)
-        ]
+        with inference_threads():
+            outputs = [
+                self.forward(x[start : start + batch_size])
+                for start in range(0, x.shape[0], batch_size)
+            ]
         return np.concatenate(outputs, axis=0)
 
     def predict_proba(self, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:

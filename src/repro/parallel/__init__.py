@@ -7,14 +7,13 @@ from repro.parallel.engine import (
     TaskFailure,
     run_tasks,
 )
-from repro.parallel.pool import parallel_map, pool_context, resolve_processes
+from repro.parallel.pool import pool_context, resolve_processes
 
 __all__ = [
     "EngineConfig",
     "Progress",
     "TaskError",
     "TaskFailure",
-    "parallel_map",
     "pool_context",
     "resolve_processes",
     "run_tasks",

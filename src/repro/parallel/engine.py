@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.obs import get_telemetry
+from repro.parallel import blas
 from repro.parallel.pool import pool_context, resolve_processes
 from repro.testing import faults
 
@@ -184,7 +185,8 @@ class _RunState:
 _WORKER: dict = {}
 
 
-def _init_engine_worker(initializer, initargs) -> None:
+def _init_engine_worker(initializer, initargs, processes: int) -> None:
+    blas.narrow_inference(processes)
     if initializer is not None:
         initializer(*initargs)
 
@@ -297,7 +299,7 @@ class EngineSession:
             self._pool = ctx.Pool(
                 n_procs,
                 initializer=_init_engine_worker,
-                initargs=(self.initializer, self.initargs),
+                initargs=(self.initializer, self.initargs, n_procs),
             )
         return self._pool
 

@@ -1,4 +1,4 @@
-"""Chunked process-pool mapping with deterministic results.
+"""Process-pool conventions: worker count, start method, execution profile.
 
 The synthetic evaluation models up to 100 000 independent functions per
 sweep cell -- embarrassingly parallel work. This module holds the shared
@@ -15,19 +15,17 @@ multiprocessing conventions the rest of the library relies on:
 * *Opt-in*: the default is serial execution; set ``processes`` explicitly or
   export ``REPRO_PROCS`` (0/1 = serial, N = pool of N, ``auto`` = CPU count).
 
-:func:`parallel_map` is the simple entry point; the fault-tolerant sweep
-engine with retries, timeouts, and progress reporting lives in
-:mod:`repro.parallel.engine` and is what the sweep drivers use.
+The fault-tolerant sweep engine with retries, timeouts, and progress
+reporting lives in :mod:`repro.parallel.engine`; it is what the sweep
+drivers use.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
 
-T = TypeVar("T")
-R = TypeVar("R")
+from repro.parallel import blas
 
 
 def resolve_processes(processes: "int | None" = None) -> int:
@@ -51,18 +49,28 @@ def resolve_processes(processes: "int | None" = None) -> int:
 
 
 def execution_profile(processes: "int | None" = None) -> dict:
-    """The resolved worker count next to the machine's CPU count.
+    """The resolved worker count next to the machine's cores and BLAS threads.
 
     Benchmark records embed this so perf numbers can be read in context: a
-    "4-process" run on a 1-CPU container is oversubscribed, and its summed
-    worker CPU-seconds legitimately exceed the wall-clock stage totals.
+    run is oversubscribed when its workers' default BLAS pools together
+    exceed the usable cores (counted as :func:`repro.parallel.blas.worker_share`
+    counts them), and its summed worker CPU-seconds then legitimately exceed
+    the wall-clock stage totals. ``blas`` names the controlled backend (or
+    ``"none"``), ``blas_threads`` is the library default and
+    ``inference_blas_threads`` what each worker's inference runs on.
     """
     resolved = resolve_processes(processes)
-    cpu_count = os.cpu_count() or 1
+    threads = blas.library_threads()
+    inference = threads
+    if threads is not None and resolved > 1:
+        inference = min(blas.worker_share(resolved), threads)
     return {
         "processes": resolved,
-        "cpu_count": cpu_count,
-        "oversubscribed": resolved > cpu_count,
+        "cpu_count": os.cpu_count() or 1,
+        "oversubscribed": resolved * (threads or 1) > blas.usable_cores(),
+        "blas": blas.backend(),
+        "blas_threads": threads,
+        "inference_blas_threads": inference,
     }
 
 
@@ -84,32 +92,3 @@ def pool_context(start_method: "str | None" = None) -> multiprocessing.context.B
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: "Sequence[T] | Iterable[T]",
-    processes: "int | None" = None,
-    initializer: "Callable[..., None] | None" = None,
-    initargs: tuple = (),
-) -> list[R]:
-    """Map ``fn`` over ``items``, optionally across a process pool.
-
-    Results keep the order of ``items``. With one worker the map runs
-    in-process (after calling ``initializer`` locally), which keeps unit
-    tests and debugging sessions free of multiprocessing machinery.
-
-    This is a thin convenience wrapper over
-    :func:`repro.parallel.engine.run_tasks` with retries disabled: a task
-    that raises fails the whole map with a
-    :class:`repro.parallel.engine.TaskError` naming the failing task.
-    """
-    from repro.parallel.engine import EngineConfig, run_tasks
-
-    return run_tasks(
-        fn,
-        items,
-        EngineConfig(processes=processes, max_retries=0),
-        initializer=initializer,
-        initargs=initargs,
-    )

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.parallel import pool
-from repro.parallel.pool import parallel_map, pool_context, resolve_processes
+from repro.parallel import EngineConfig, pool, run_tasks
+from repro.parallel.pool import pool_context, resolve_processes
 
 
 def square(x):
@@ -81,31 +81,44 @@ class TestPoolContext:
         assert pool_context("spawn").get_start_method() == "spawn"
 
 
+def engine_map(fn, items, processes, initializer=None, initargs=()):
+    """``run_tasks`` as a plain order-preserving map: no retries."""
+    return run_tasks(
+        fn,
+        items,
+        EngineConfig(processes=processes, max_retries=0),
+        initializer=initializer,
+        initargs=initargs,
+    )
+
+
 class TestParallelMap:
+    """The engine used as a plain map keeps order, initializers and RNG streams."""
+
     def test_serial_order_preserved(self):
-        assert parallel_map(square, [3, 1, 2], processes=1) == [9, 1, 4]
+        assert engine_map(square, [3, 1, 2], processes=1) == [9, 1, 4]
 
     def test_pool_order_preserved(self):
-        assert parallel_map(square, list(range(20)), processes=2) == [
+        assert engine_map(square, list(range(20)), processes=2) == [
             x * x for x in range(20)
         ]
 
     def test_serial_equals_parallel(self):
         items = list(range(30))
-        assert parallel_map(square, items, processes=1) == parallel_map(
+        assert engine_map(square, items, processes=1) == engine_map(
             square, items, processes=3
         )
 
     def test_initializer_runs_serially(self):
-        out = parallel_map(_use_state, [1, 2], processes=1, initializer=_init, initargs=(10,))
+        out = engine_map(_use_state, [1, 2], processes=1, initializer=_init, initargs=(10,))
         assert out == [11, 12]
 
     def test_initializer_runs_in_workers(self):
-        out = parallel_map(_use_state, [1, 2, 3, 4], processes=2, initializer=_init, initargs=(100,))
+        out = engine_map(_use_state, [1, 2, 3, 4], processes=2, initializer=_init, initargs=(100,))
         assert out == [101, 102, 103, 104]
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(square, [5], processes=8) == [25]
+        assert engine_map(square, [5], processes=8) == [25]
 
     def test_rng_tasks_deterministic_across_modes(self):
         """Pre-spawned generators make serial and parallel runs identical."""
@@ -113,6 +126,6 @@ class TestParallelMap:
 
         gens_a = spawn_generators(7, 10)
         gens_b = spawn_generators(7, 10)
-        assert parallel_map(_draw, gens_a, processes=1) == parallel_map(
+        assert engine_map(_draw, gens_a, processes=1) == engine_map(
             _draw, gens_b, processes=2
         )

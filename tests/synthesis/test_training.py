@@ -188,6 +188,11 @@ def generator_pairs(config: TrainingSetConfig) -> list:
 
 
 @pytest.fixture(scope="module")
+def adaptation_pairs():
+    return generator_pairs(ADAPTATION_LIKE)
+
+
+@pytest.fixture(scope="module")
 def pretraining_pairs():
     return generator_pairs(PRETRAINING_LIKE)
 
@@ -198,6 +203,30 @@ def assert_slot_means_match(pairs, count):
     )
     assert z.max() <= 5.0, f"max |z| {z.max():.2f}"
     assert np.mean(z > 2.0) <= 0.08, f"share |z| > 2: {np.mean(z > 2.0):.3f}"
+
+
+def _roughness(X):
+    """Per row: mean |second difference| along the line's occupied slots."""
+    occupied = X != 0
+    values = np.take_along_axis(X, np.argsort(~occupied, axis=1, kind="stable"), axis=1)
+    inner = occupied.sum(axis=1) - 2
+    second = np.abs(values[:, 2:] - 2 * values[:, 1:-1] + values[:, :-2])
+    valid = np.arange(INPUT_SIZE - 2)[None, :] < inner[:, None]
+    return (second * valid).sum(axis=1) / inner
+
+
+def assert_roughness_matches(pairs, count):
+    z = []
+    for (X_new, _), (X_ref, _) in pairs:
+        a = _roughness(X_new).reshape(NUM_CLASSES, count)
+        b = _roughness(X_ref).reshape(NUM_CLASSES, count)
+        se = np.sqrt(a.var(axis=1, ddof=1) / count + b.var(axis=1, ddof=1) / count)
+        z.append((a.mean(axis=1) - b.mean(axis=1)) / se)
+    z = np.concatenate(z)
+    assert np.abs(z).max() <= 5.0, f"max |z| {np.abs(z).max():.2f}"
+    assert np.mean(np.abs(z) > 2.0) <= 0.08, f"share |z| > 2: {np.mean(np.abs(z) > 2.0):.3f}"
+    pooled = z.mean() * np.sqrt(z.size)
+    assert abs(pooled) <= 4.0, f"pooled z {pooled:.2f}"
 
 
 class TestDistributionMatchesOracle:
@@ -213,13 +242,30 @@ class TestDistributionMatchesOracle:
     pretraining-like config gave a max |z| of 2.6-3.5 and shares of
     2.1-4.4 % over four seeds. Bounds: max |z| <= 5 and a pooled share
     <= 8 %.
+
+    Slot means are blind to a symmetric change of the noise scale, so the
+    per-class mean within-line roughness (mean |second difference| along
+    the occupied slots, which noise raises) is compared the same way, a
+    43-class grid of z-scores per seed, plus the pooled mean z times
+    sqrt(n). Over 12 seeds (adaptation-like) the per-seed max |z| was
+    1.7-3.7 and the share of |z| > 2 0-9.3 %; pooled over three seeds the
+    share was 2.3-6.2 % and the pooled z -0.6..+1.3 (pretraining-like, six
+    seeds: max |z| 1.7-2.6, pooled z -0.7..+1.4). Scaling the noise by 1.5
+    raises the pooled z to 9.9 (adaptation-like) and 29 (pretraining-like).
+    Bounds: max |z| <= 5, a pooled share <= 8 %, |pooled z| <= 4.
     """
 
-    def test_adaptation_slot_means(self):
-        assert_slot_means_match(generator_pairs(ADAPTATION_LIKE), 400)
+    def test_adaptation_slot_means(self, adaptation_pairs):
+        assert_slot_means_match(adaptation_pairs, 400)
 
     def test_pretraining_slot_means(self, pretraining_pairs):
         assert_slot_means_match(pretraining_pairs, 400)
+
+    def test_adaptation_roughness(self, adaptation_pairs):
+        assert_roughness_matches(adaptation_pairs, 400)
+
+    def test_pretraining_roughness(self, pretraining_pairs):
+        assert_roughness_matches(pretraining_pairs, 400)
 
 
 class TestHeldOutAccuracyMatchesOracle:
