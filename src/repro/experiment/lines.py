@@ -31,10 +31,6 @@ class ParameterLine:
         """Sorted values of the varying parameter."""
         return np.asarray([m.coordinate[self.parameter] for m in self.measurements])
 
-    @property
-    def medians(self) -> np.ndarray:
-        return np.asarray([m.median for m in self.measurements])
-
     def values(self, aggregation: str = "median") -> np.ndarray:
         """Representative values under the chosen aggregation strategy."""
         return np.asarray([m.aggregate(aggregation) for m in self.measurements])

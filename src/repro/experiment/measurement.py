@@ -70,9 +70,13 @@ class Measurement:
     The paper repeats each experiment up to five times and models the median
     of the repetitions; the raw repetitions stay available because the noise
     estimator (Eqs. 3-4) needs them.
+
+    ``values`` is read-only: the median is computed once, on first use, and
+    kept (modeling reads it several times per measurement), so the
+    repetitions must not change under it.
     """
 
-    __slots__ = ("coordinate", "values")
+    __slots__ = ("coordinate", "values", "_median")
 
     def __init__(self, coordinate: Coordinate, values: Iterable[float]):
         self.coordinate = coordinate
@@ -81,7 +85,24 @@ class Measurement:
             raise ValueError("a measurement needs at least one repetition")
         if not np.all(np.isfinite(vals)):
             raise ValueError("measurement values must be finite")
+        vals.flags.writeable = False
         self.values = vals
+        self._median: "float | None" = None
+
+    # Pickles carry the coordinate and the repetitions, never the cached
+    # median: a pickle's bytes must not depend on whether the median was
+    # read (journals are compared byte for byte), and payloads written
+    # without the slot must load.
+    def __getstate__(self) -> tuple:
+        return (None, {"coordinate": self.coordinate, "values": self.values})
+
+    def __setstate__(self, state: tuple) -> None:
+        _, slots = state
+        self.coordinate = slots["coordinate"]
+        values = np.asarray(slots["values"], dtype=float)
+        values.flags.writeable = False
+        self.values = values
+        self._median = None
 
     @property
     def repetitions(self) -> int:
@@ -89,7 +110,9 @@ class Measurement:
 
     @property
     def median(self) -> float:
-        return float(np.median(self.values))
+        if self._median is None:
+            self._median = float(np.median(self.values))
+        return self._median
 
     @property
     def mean(self) -> float:

@@ -8,8 +8,11 @@ product of per-parameter choices yields up to ``k^m * Bell(m)`` hypotheses
 per kernel (~136 for k = 3, m = 3). This module evaluates all hypotheses
 with the same coefficient count at once: one stacked ``(h, n, c)`` design
 tensor, one batched SVD, vectorized leave-one-out predictions and SMAPE
-scores. Design columns are cached per term group, so hypotheses sharing a
-partition block (most of them) never recompute it.
+scores (the kernel of :mod:`repro.regression.batched`, shared with the
+single-parameter search). Design columns multiply rows of each parameter
+column's cached term basis (:func:`repro.pmnf.basis.term_basis`) and are
+cached per term group, so hypotheses sharing a partition block (most of
+them) never recompute it.
 
 The winner is then refit -- and its LOO score recomputed -- through the
 reference path, so the returned :class:`ScoredModel` is bit-identical to
@@ -23,6 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.pmnf.basis import basis_row, term_basis
+from repro.regression.batched import factorize, loo_scores
 from repro.regression.hypothesis import Hypothesis, fit_hypothesis
 from repro.regression.selection import ScoredModel, loo_predictions
 from repro.regression.smape import smape
@@ -30,43 +35,6 @@ from repro.regression.smape import smape
 #: One scored candidate: (implausible, cv_smape, complexity, order, hypothesis).
 #: ``min`` over the first four fields replicates the reference selection.
 Candidate = "tuple[bool, float, tuple, int, Hypothesis]"
-
-
-def _batched_scores(
-    designs: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CV-SMAPE, coefficients, and predictions for stacked designs.
-
-    ``designs`` has shape ``(h, n, c)``; returns ``(cv, beta, pred)`` of
-    shapes ``(h,)``, ``(h, c)``, ``(h, n)``. Replicates the reference
-    :func:`repro.regression.selection.loo_predictions` column scaling, SVD
-    rank truncation, and hat-matrix leverage handling, batched over ``h``.
-    """
-    h, n, c = designs.shape
-    scales = np.max(np.abs(designs), axis=1)  # (h, c)
-    scales[scales == 0] = 1.0
-    scaled = designs / scales[:, None, :]
-
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)  # (h,n,k),(h,k),(h,k,c)
-    cutoff = s[:, :1] * max(n, c) * np.finfo(float).eps
-    rank_mask = s > cutoff  # (h, k)
-    inv_s = np.where(rank_mask, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-
-    uty = np.einsum("hnk,n->hk", u, values)
-    beta_scaled = np.einsum("hkj,hk->hj", vt, uty * inv_s)
-    beta = beta_scaled / scales  # undo column scaling
-
-    pred = np.einsum("hnk,hk->hn", scaled, beta_scaled)
-    leverage = np.einsum("hnk,hk->hn", u * u, rank_mask.astype(float))
-    resid = values[None, :] - pred
-    loo = values[None, :] - resid / np.clip(1.0 - leverage, 1e-12, None)
-
-    finite = np.all(np.isfinite(loo), axis=1)
-    denom = np.abs(values)[None, :] + np.abs(loo)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(denom > 0, 2.0 * np.abs(values[None, :] - loo) / denom, 0.0)
-    cv = np.where(finite, np.mean(ratio, axis=1) * 100.0, np.inf)
-    return cv, beta, pred
 
 
 class FastMultiParameterSearch:
@@ -113,7 +81,16 @@ class FastMultiParameterSearch:
         for idx, hyp in applicable:
             by_count.setdefault(hyp.n_coefficients, []).append((idx, hyp))
         column_cache: dict[tuple, np.ndarray] = {}
+        bases: dict[int, np.ndarray] = {}
         ones = np.ones(n)
+
+        def factor(l: int, term) -> np.ndarray:
+            row = basis_row(term.exponents)
+            if row is None:  # a pair outside E: no basis row to read
+                return term.evaluate(points[:, l])
+            if l not in bases:
+                bases[l] = term_basis(points[:, l])
+            return bases[l][row]
 
         def group_column(group) -> np.ndarray:
             key = tuple((l, term.exponents) for l, term in group.items())
@@ -121,7 +98,7 @@ class FastMultiParameterSearch:
             if col is None:
                 col = ones
                 for l, term in group.items():
-                    col = col * term.evaluate(points[:, l])
+                    col = col * factor(l, term)
                 column_cache[key] = col
             return col
 
@@ -135,11 +112,12 @@ class FastMultiParameterSearch:
             for k, (_, hyp) in enumerate(bucket):
                 for j, group in enumerate(hyp.groups):
                     designs[k, :, j + 1] = group_column(group)
-            cv, beta, pred = _batched_scores(designs, values)
+            factors = factorize(designs)
+            cv, beta, pred = loo_scores(factors, values)
             # Reference pruning: a term whose contribution is numerically
             # negligible is dropped before the plausibility check, so an
             # epsilon-negative coefficient still counts as plausible.
-            col_max = np.max(np.abs(designs), axis=1)  # (h, c)
+            col_max = factors.col_max  # (h, c)
             scale = np.max(np.abs(pred), axis=1)  # (h,)
             scale[scale == 0] = 1.0
             surviving = np.abs(beta) * col_max > 1e-9 * scale[:, None]

@@ -3,15 +3,22 @@
 The reference implementation (:mod:`repro.regression.selection`) loops over
 the 43 hypotheses, each paying a small SVD plus Python dispatch. That loop
 is the hot path of the synthetic sweeps (100 000 functions in the paper's
-setting), so this module evaluates all two-coefficient hypotheses at once:
-one stacked ``(h, n, 2)`` design tensor, one batched SVD, vectorized
-leave-one-out predictions and SMAPE scores. The selected winner is then
-refit through the reference path, so the returned model object is
+setting), so this module scores all two-coefficient hypotheses at once:
+the design columns are rows of the layout's cached term basis
+(:func:`repro.pmnf.basis.term_basis`), one batched SVD factorizes the
+stacked ``(h, n, 2)`` designs, and vectorized leave-one-out predictions
+and SMAPE scores follow (:mod:`repro.regression.batched`). The
+factorization depends only on the x-values, so it is kept per layout: the
+adaptive modeler re-models the lines the regression modeler just modeled,
+and those searches only redo the per-values step. The selected winner is
+then refit through the reference path, so the returned model object is
 bit-identical to what the slow search produces; an equivalence test pins
 winner and CV score against the reference for random inputs.
 
-Speedup on the default sweep workload: ~6x per modeling task
-(11.1 -> 1.8 ms on one laptop core, 300 random tasks, 30 % noise).
+Cost per 43-pair line search (n = 5, 30 % noise, 600 random lines, one
+core of a 2-core x86 container): 2.0 ms when every call evaluated every
+term, 0.74 ms on a layout seen for the first time (basis, factorization
+and per-values step), ~0.2 ms on a layout whose factorization is cached.
 """
 
 from __future__ import annotations
@@ -20,9 +27,19 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.pmnf.basis import basis_row, term_basis
 from repro.pmnf.terms import CompoundTerm, ExponentPair
+from repro.regression.batched import Factorization, factorize, loo_scores
 from repro.regression.hypothesis import Hypothesis, fit_hypothesis
 from repro.regression.selection import ScoredModel
+from repro.util.cache import LRUCache
+
+#: Line layouts whose factorization is kept, per term set. A sweep task
+#: models one line per parameter, and the adaptive modeler's regression
+#: branch re-models them, so the reuse sits within one task.
+FACTOR_CACHE_SIZE = 16
+
+_FACTORS = LRUCache(FACTOR_CACHE_SIZE)
 
 
 def _constant_cv_smape(values: np.ndarray, kernel: str = "") -> float:
@@ -56,46 +73,34 @@ class FastSingleParameterSearch:
         self.term_pairs = [p for p in seen if not p.is_constant]
         self.include_constant = any(p.is_constant for p in seen)
         self._terms = [CompoundTerm.from_pair(p) for p in self.term_pairs]
-        # Precomputed ordering keys replicating Hypothesis.complexity_key():
-        # (#groups, growth keys descending). Constant = (0, ()).
-        self._growth = [p.growth_key() for p in self.term_pairs]
+        rows = [basis_row(p) for p in self.term_pairs]
+        self._rows = None if None in rows else np.asarray(rows, dtype=int)
+        # Names the term set in the factorization cache key (a str caches
+        # its hash; a tuple of pairs would rehash every Fraction per lookup).
+        self._signature = ",".join(map(str, self.term_pairs))
+        # Rank of each term in the reference complexity order: terms order
+        # by asymptotic growth; the constant, (0, ()), precedes them all.
+        pairs = self.term_pairs
+        order = sorted(range(len(pairs)), key=lambda k: pairs[k].growth_key())
+        self._growth_rank = np.empty(len(order), dtype=int)
+        self._growth_rank[order] = np.arange(len(order))
 
     # ------------------------------------------------------------ evaluation
-    def _batched_scores(
-        self, xs: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CV-SMAPE, term coefficient, and intercept for every term hypothesis."""
-        n = xs.size
-        h = len(self._terms)
-        designs = np.empty((h, n, 2))
-        designs[:, :, 0] = 1.0
-        for k, term in enumerate(self._terms):
-            designs[k, :, 1] = term.evaluate(xs)
-        scales = np.max(np.abs(designs), axis=1)  # (h, 2)
-        scales[scales == 0] = 1.0
-        scaled = designs / scales[:, None, :]
-
-        u, s, vt = np.linalg.svd(scaled, full_matrices=False)  # (h,n,2),(h,2),(h,2,2)
-        cutoff = s[:, :1] * max(n, 2) * np.finfo(float).eps
-        inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        rank_mask = s > cutoff  # (h, 2)
-
-        uty = np.einsum("hnk,n->hk", u, values)  # (h, 2)
-        beta_scaled = np.einsum("hkj,hk->hj", vt, uty * inv_s)  # (h, 2)
-        beta = beta_scaled / scales  # undo column scaling
-
-        pred = np.einsum("hnk,hk->hn", scaled, beta_scaled)
-        leverage = np.einsum("hnk,hk->hn", u * u, rank_mask.astype(float))
-        resid = values[None, :] - pred
-        denom_l = np.clip(1.0 - leverage, 1e-12, None)
-        loo = values[None, :] - resid / denom_l
-
-        finite = np.all(np.isfinite(loo), axis=1)
-        denom = np.abs(values)[None, :] + np.abs(loo)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(denom > 0, 2.0 * np.abs(values[None, :] - loo) / denom, 0.0)
-        cv = np.where(finite, np.mean(ratio, axis=1) * 100.0, np.inf)
-        return cv, beta[:, 1], beta[:, 0]
+    def _factorization(self, xs: np.ndarray) -> Factorization:
+        """The value-free scoring state of every term hypothesis on ``xs``."""
+        key = (self._signature, xs.tobytes())
+        factors = _FACTORS.get(key)
+        if factors is None:
+            designs = np.empty((len(self._terms), xs.size, 2))
+            designs[:, :, 0] = 1.0
+            if self._rows is not None:
+                designs[:, :, 1] = term_basis(xs)[self._rows]
+            else:  # a pair outside E: no basis row to read
+                for k, term in enumerate(self._terms):
+                    designs[k, :, 1] = term.evaluate(xs)
+            factors = factorize(designs)
+            _FACTORS[key] = factors
+        return factors
 
     # -------------------------------------------------------------- selection
     def select(self, xs: np.ndarray, values: np.ndarray) -> ScoredModel:
@@ -113,32 +118,30 @@ class FastSingleParameterSearch:
         if xs.size < 3:
             raise ValueError("need at least three points to cross-validate a term fit")
 
-        candidates: list[tuple[bool, float, tuple, "ExponentPair | None"]] = []
+        best_pair, best_cv = None, np.inf
+        if self._terms:
+            factors = self._factorization(xs)
+            cv, beta, _ = loo_scores(factors, values)
+            coeffs = beta[:, 1]
+            # A pruned-to-constant fit (negligible term) counts as
+            # plausible, matching the reference's post-pruning check.
+            scale = max(abs(values).max(), 1e-300)
+            effectively_constant = np.abs(coeffs) * factors.col_max[:, 1] <= 1e-9 * scale
+            finite = np.isfinite(cv)
+            pool = finite & ((coeffs >= 0.0) | effectively_constant)
+            if not pool.any() and not self.include_constant:
+                pool = finite  # no plausible candidate: fall back to all
+            ranked = np.flatnonzero(pool)
+            if ranked.size:
+                k = ranked[np.lexsort((self._growth_rank[ranked], cv[ranked]))[0]]
+                best_pair, best_cv = self.term_pairs[k], float(cv[k])
         if self.include_constant:
             cv_const = _constant_cv_smape(values)
-            candidates.append((True, cv_const, (0, ()), None))
-        if self._terms:
-            cv, coeffs, _ = self._batched_scores(xs, values)
-            for k, pair in enumerate(self.term_pairs):
-                if not np.isfinite(cv[k]):
-                    continue
-                # A pruned-to-constant fit (negligible term) counts as
-                # plausible, matching the reference's post-pruning check.
-                scale = max(abs(values).max(), 1e-300)
-                term_magnitude = abs(coeffs[k]) * np.max(
-                    np.abs(self._terms[k].evaluate(xs))
-                )
-                effectively_constant = term_magnitude <= 1e-9 * scale
-                plausible = coeffs[k] >= 0.0 or effectively_constant
-                candidates.append(
-                    (plausible, float(cv[k]), (1, (self._growth[k],)), pair)
-                )
-        if not candidates:
+            # The constant is always plausible and ties go to it (simplest).
+            if best_pair is None or cv_const <= best_cv:
+                best_pair, best_cv = None, cv_const
+        elif best_pair is None:
             raise ValueError("no valid hypotheses to select from")
-
-        plausible_pool = [c for c in candidates if c[0]]
-        pool = plausible_pool if plausible_pool else candidates
-        _, best_cv, _, best_pair = min(pool, key=lambda c: (c[1], c[2]))
 
         if best_pair is None:
             hypothesis = Hypothesis.constant(1)

@@ -57,7 +57,7 @@ class TestParameterLines:
     def test_medians_follow_xs_order(self):
         k = cross_kernel(X1, 50.0, 64.0, X2)
         (line0, line1) = parameter_lines(k, 2)
-        np.testing.assert_array_equal(line0.medians, X1)
+        np.testing.assert_array_equal(line0.values("median"), X1)
 
     def test_too_few_points_raises(self):
         k = grid_kernel(X1[:3], X2)

@@ -9,11 +9,14 @@ levels, plus explicitly rank-deficient designs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiment.experiment import Kernel
 from repro.experiment.lines import parameter_lines
 from repro.experiment.measurement import value_table
 from repro.noise.injection import UniformNoise
+from repro.pmnf import basis
 from repro.pmnf.terms import CompoundTerm, ExponentPair
 from repro.regression.fast_multi import FastMultiParameterSearch
 from repro.regression.hypothesis import Hypothesis
@@ -133,6 +136,20 @@ class TestRankDeficient:
 
 
 class TestEdgeCases:
+    def test_pair_outside_the_search_space(self):
+        """A factor without a basis row is evaluated directly."""
+        a = CompoundTerm(6)  # x^6 lies outside E on purpose
+        b = CompoundTerm.from_pair(ExponentPair(1, 0))
+        hypotheses = [
+            Hypothesis.constant(2),
+            Hypothesis([{0: a}], 2),
+            Hypothesis([{0: a}, {1: b}], 2),
+            Hypothesis([{0: a, 1: b}], 2),
+        ]
+        grid = np.array([[x, y] for x in (2.0, 3.0, 4.0, 5.0) for y in (1.5, 2.5, 3.5)])
+        values = 1.0 + 0.01 * grid[:, 0] ** 6 * grid[:, 1]
+        assert_engines_agree(hypotheses, grid, values)
+
     def test_too_few_points_skips_large_hypotheses(self):
         """With n = 2 only hypotheses with one coefficient survive -- exactly
         the reference's c > n - 1 rule."""
@@ -149,3 +166,53 @@ class TestEdgeCases:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, m\)"):
             SEARCH.score(hand_hypotheses(), np.zeros(5), np.zeros(5))
+
+
+def assert_identical(a, b):
+    assert a.function.structure_key() == b.function.structure_key()
+    assert a.cv_smape == b.cv_smape
+    assert a.function.constant == b.function.constant
+    assert [t.coefficient for t in a.function.terms] == [
+        t.coefficient for t in b.function.terms
+    ]
+
+
+#: More distinct grid columns than the basis cache holds (two per task).
+BEYOND_BOUND = basis.BASIS_CACHE_SIZE // 2 + 3
+
+
+class TestWarmEqualsCold:
+    """The cached term basis never changes a selected model."""
+
+    @staticmethod
+    def cold(task):
+        basis._CACHE.clear()
+        return SEARCH.select(*task)
+
+    def test_first_repeated_and_evicted_calls(self):
+        for seed in range(4):
+            task = combination_task(seed, 2 + seed % 2, noise=0.2)
+            first = self.cold(task)
+            repeated = SEARCH.select(*task)
+            for other in range(BEYOND_BOUND):
+                SEARCH.select(*combination_task(500 + other, 2, noise=0.2))
+            evicted = SEARCH.select(*task)
+            assert_identical(repeated, first)
+            assert_identical(evicted, first)
+
+    def test_interleaved_layouts_beyond_the_bound(self):
+        tasks = [combination_task(seed, 2, noise=0.3) for seed in range(BEYOND_BOUND)]
+        cold = [self.cold(task) for task in tasks]
+        basis._CACHE.clear()
+        for _ in range(2):
+            for k in list(range(0, len(tasks), 2)) + list(range(1, len(tasks), 2)):
+                assert_identical(SEARCH.select(*tasks[k]), cold[k])
+
+    @given(seeds=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=20))
+    @settings(max_examples=15, deadline=None)
+    def test_any_call_sequence(self, seeds):
+        tasks = {seed: combination_task(seed, 2, noise=0.3) for seed in set(seeds)}
+        cold = {seed: self.cold(task) for seed, task in tasks.items()}
+        basis._CACHE.clear()
+        for seed in seeds:
+            assert_identical(SEARCH.select(*tasks[seed]), cold[seed])
